@@ -333,8 +333,10 @@ impl DfgEngine {
     }
 
     /// [`DfgEngine::analyze`] under a cooperative [`Budget`]: the
-    /// propagation checks the budget between node steps (each is
-    /// `O(bins²)`, so the check overhead is noise) and fails with
+    /// propagation checks the budget between node steps (a product
+    /// deposits all `bins²` operand bin pairs, a sum evaluates its CDF at
+    /// the output bin edges in `O(out_bins × bins)`, so the check overhead
+    /// is noise) and fails with
     /// [`SnaError::DeadlineExceeded`] / [`SnaError::Cancelled`] instead
     /// of finishing the sweep.
     ///

@@ -15,7 +15,7 @@
 //! | engine | inputs | cost | produces |
 //! |---|---|---|---|
 //! | [`CartesianEngine`] | closed-form expression | exponential in #symbols | exact Section-4 algorithm |
-//! | [`DfgEngine`] | combinational [`sna_dfg::Dfg`] | per-op `O(bins²)` | value + error histograms per node |
+//! | [`DfgEngine`] | combinational [`sna_dfg::Dfg`] | per-op `O(bins²)` (sums: no per-pair deposit) | value + error histograms per node |
 //! | [`LtiEngine`] | linear (incl. feedback) DFG | gains once, then `O(#sources)` | moments exact, PDF by CLT + convolution |
 //! | [`SymbolicEngine`] | combinational polynomial DFG | term growth bounded | Eq.(1) polynomials; exact moments |
 //!

@@ -8,6 +8,12 @@
 //! with interval arithmetic over the Cartesian product of operand bins, and
 //! each partial result deposits its probability mass into the output grid.
 //!
+//! Products, quotients and generic operations visit every bin pair.  Sums
+//! and differences do not: the pairwise deposits add up to a distribution
+//! whose CDF has a closed form, so `add`/`sub` evaluate that CDF at the
+//! `out_bins + 1` output bin edges from prefix sums over the operand bins —
+//! `O(out_bins × operand bins)`, with no per-pair deposit.
+//!
 //! Compared to plain intervals (IA) a histogram carries full distribution
 //! information; compared to affine forms (AA) the bounds do not suffer the
 //! linear worst-case blow-up.

@@ -4,6 +4,13 @@
 //! interval arithmetic to every pair of operand bins and depositing the
 //! product mass `p_a · p_b` into the output grid.  How each partial result
 //! spreads over the output bins is controlled by a [`DepositPolicy`].
+//!
+//! Sums and differences never visit the bin pairs one at a time: the
+//! deposited pairs add up to a distribution whose CDF has a closed form,
+//! so [`Histogram::add_with`] evaluates that CDF at the output bin edges
+//! instead (see `SumCdf`).
+
+use std::borrow::Cow;
 
 use sna_interval::Interval;
 
@@ -15,14 +22,17 @@ use crate::{Grid, HistError, Histogram};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DepositPolicy {
     /// Spread the mass uniformly over the result interval (the basic
-    /// histogram method of the paper).  Conservative and fast; the default.
+    /// histogram method of the paper).  Conservative; the default.  For
+    /// `+`/`-`, like [`DepositPolicy::Exact`], it costs
+    /// `O(out_bins × operand bins)`, with no per-pair deposit.
     #[default]
     Uniform,
     /// Use the exact within-bin distribution of the operation where one is
-    /// known (`x + y` / `x - y` of uniform bins is trapezoidal; `x²` has a
-    /// closed-form push-forward).  Falls back to [`DepositPolicy::Uniform`]
-    /// for operations without a closed form (multiplication, division,
-    /// generic `apply_binary`).
+    /// known (`x + y` / `x - y` of uniform bins is trapezoidal, so the sum
+    /// of two histograms is the exact convolution of their
+    /// piecewise-uniform densities; `x²` has a closed-form push-forward).
+    /// Falls back to [`DepositPolicy::Uniform`] for operations without a
+    /// closed form (multiplication, division, generic `apply_binary`).
     Exact,
     /// Put all mass into the bin containing the interval midpoint.  Produces
     /// *inner* (non-conservative) bounds; useful for comparison studies.
@@ -99,10 +109,9 @@ impl Histogram {
     ///
     /// Propagates grid construction failures.
     pub fn add_with(&self, rhs: &Histogram, opts: &OpOptions) -> Result<Histogram, HistError> {
-        if opts.deposit == DepositPolicy::Exact {
-            self.linear_exact(rhs, 1.0, opts)
-        } else {
-            self.apply_binary(rhs, |a, b| a + b, opts)
+        match opts.deposit {
+            DepositPolicy::Midpoint => self.apply_binary(rhs, |a, b| a + b, opts),
+            _ => self.linear_sum(rhs, false, opts),
         }
     }
 
@@ -124,10 +133,9 @@ impl Histogram {
     ///
     /// Propagates grid construction failures.
     pub fn sub_with(&self, rhs: &Histogram, opts: &OpOptions) -> Result<Histogram, HistError> {
-        if opts.deposit == DepositPolicy::Exact {
-            self.linear_exact(rhs, -1.0, opts)
-        } else {
-            self.apply_binary(rhs, |a, b| a - b, opts)
+        match opts.deposit {
+            DepositPolicy::Midpoint => self.apply_binary(rhs, |a, b| a - b, opts),
+            _ => self.linear_sum(rhs, true, opts),
         }
     }
 
@@ -230,42 +238,34 @@ impl Histogram {
         Histogram::from_masses(grid, masses)
     }
 
-    /// `self + sign·rhs` with the exact trapezoidal deposit for each bin
-    /// pair (the true distribution of the sum of two uniform densities).
-    fn linear_exact(
+    /// `self + rhs` (or `self - rhs` when `negate`) under the
+    /// [`DepositPolicy::Exact`] or [`DepositPolicy::Uniform`] deposit: the
+    /// mass of output bin `k` is `F(c_{k+1}) − F(c_k)` for the closed-form
+    /// CDF `F` of the deposited sum at the bin edges `c_k`.  Mass outside
+    /// the output grid clamps to the boundary bins.
+    fn linear_sum(
         &self,
         rhs: &Histogram,
-        sign: f64,
+        negate: bool,
         opts: &OpOptions,
     ) -> Result<Histogram, HistError> {
-        let rhs_support = rhs.grid().support().scale(sign);
+        let sign = if negate { -1.0 } else { 1.0 };
         let grid = match opts.grid {
             Some(g) => g,
             None => {
-                let sup = self.grid().support() + rhs_support;
+                let sup = self.grid().support() + rhs.grid().support().scale(sign);
                 let bins = opts
                     .out_bins
                     .unwrap_or_else(|| self.n_bins().max(rhs.n_bins()));
                 Grid::over(sup, bins)?
             }
         };
-        let w1 = self.grid().bin_width();
-        let w2 = rhs.grid().bin_width();
-        let mut masses = vec![0.0; grid.n_bins()];
-        for (ia, pa) in self.bins() {
-            if pa == 0.0 {
-                continue;
-            }
-            for (ib, pb) in rhs.bins() {
-                let mass = pa * pb;
-                if mass == 0.0 {
-                    continue;
-                }
-                let ib = ib.scale(sign);
-                let lo = ia.lo() + ib.lo();
-                deposit_trapezoid(&grid, &mut masses, lo, w1, w2, mass);
-            }
-        }
+        let masses = sum_masses(
+            &grid,
+            &Operand::new(self, false),
+            &Operand::new(rhs, negate),
+            opts.deposit == DepositPolicy::Exact,
+        );
         Histogram::from_masses(grid, masses)
     }
 
@@ -473,31 +473,240 @@ fn deposit_cdf(
     }
 }
 
-/// Deposits the exact trapezoidal distribution of `U[lo, lo+w1+w2]`
-/// (the sum of two independent uniforms with widths `w1`, `w2`).
-fn deposit_trapezoid(grid: &Grid, masses: &mut [f64], lo: f64, w1: f64, w2: f64, mass: f64) {
-    let m = w1.min(w2);
-    let big = w1.max(w2);
-    let total = w1 + w2;
-    if total <= 0.0 {
-        masses[grid.bin_of(lo)] += mass;
-        return;
-    }
-    let cdf = move |x: f64| -> f64 {
-        let t = (x - lo).clamp(0.0, total);
-        if m == 0.0 {
-            // One operand is (numerically) a point: plain uniform CDF.
-            return t / total;
-        }
-        if t <= m {
-            t * t / (2.0 * w1 * w2)
-        } else if t <= big {
-            (2.0 * t - m) / (2.0 * big)
+/// Mass kept in a reach-edge output bin whose computed mass rounds to
+/// zero or below: far under any rounding error of the kernel, yet large
+/// enough that products of a few such masses in later operations do not
+/// underflow to zero and narrow the reported support.
+const EDGE_FLOOR: f64 = f64::EPSILON * f64::EPSILON;
+
+/// One operand of a sum: bin `i` covers `[lo + i·width, lo + (i+1)·width]`
+/// and carries `probs[i]`.
+struct Operand<'a> {
+    hist: &'a Histogram,
+    mirrored: bool,
+    lo: f64,
+    width: f64,
+    probs: Cow<'a, [f64]>,
+}
+
+impl<'a> Operand<'a> {
+    /// `h`, or its mirror image `-h` when `mirrored`.
+    fn new(hist: &'a Histogram, mirrored: bool) -> Self {
+        let grid = hist.grid();
+        let (lo, probs) = if mirrored {
+            (
+                -grid.hi(),
+                Cow::Owned(hist.probs().iter().rev().copied().collect()),
+            )
         } else {
-            1.0 - (total - t) * (total - t) / (2.0 * w1 * w2)
+            (grid.lo(), Cow::Borrowed(hist.probs()))
+        };
+        Operand {
+            hist,
+            mirrored,
+            lo,
+            width: grid.bin_width(),
+            probs,
         }
-    };
-    deposit_cdf(grid, masses, lo, lo + total, mass, cdf);
+    }
+
+    /// Bin `i` as interval arithmetic sees it (negated when mirrored).
+    fn bin(&self, i: usize) -> Interval {
+        if self.mirrored {
+            let n = self.probs.len();
+            self.hist.grid().bin_interval(n - 1 - i).scale(-1.0)
+        } else {
+            self.hist.grid().bin_interval(i)
+        }
+    }
+
+    /// The first and the last bin that carry mass.
+    fn reach(&self) -> (Interval, Interval) {
+        let first = self.probs.iter().position(|&p| p > 0.0).unwrap_or(0);
+        let last = self.probs.iter().rposition(|&p| p > 0.0).unwrap_or(first);
+        (self.bin(first), self.bin(last))
+    }
+}
+
+/// Output masses of `a + b` on `grid`, where the deposit spreads each bin
+/// pair's mass over `[a_i + b_j, a_i + b_j + w_a + w_b]` either exactly
+/// (the trapezoid, `exact`) or uniformly.
+///
+/// The reach is the hull of the result intervals of the lowest and the
+/// highest pair of nonzero bins, rounded as interval arithmetic rounds
+/// them, so it covers every bin a pairwise deposit could reach.  Bins
+/// outside it are exactly zero, the two bins at its ends are kept
+/// positive, and negative rounding residue clamps to zero.
+fn sum_masses(grid: &Grid, a: &Operand<'_>, b: &Operand<'_>, exact: bool) -> Vec<f64> {
+    let mut masses = vec![0.0; grid.n_bins()];
+    let ((a_first, a_last), (b_first, b_last)) = (a.reach(), b.reach());
+    let (lowest, highest) = (a_first + b_first, a_last + b_last);
+    let span = a.width + b.width;
+    let lo = lowest.lo();
+    let hi = highest.hi().max(highest.lo() + span);
+    let (mut k_lo, mut k_hi) = (grid.bin_of(lo), grid.bin_of(hi));
+    // A bin the reach only touches at an edge receives no mass, unless
+    // the extreme pair is thinner than an ulp and lands there whole.
+    let resolved = |pair: Interval| pair.hi() > pair.lo() && pair.lo() + span > pair.lo();
+    if k_lo < k_hi && resolved(lowest) && grid.bin_lo(k_lo) + grid.bin_width() <= lo {
+        k_lo += 1;
+    }
+    if k_lo < k_hi && resolved(highest) && grid.bin_lo(k_hi) >= hi {
+        k_hi -= 1;
+    }
+
+    // The operand with the wider bins is the outer one: its window then
+    // spans at least one inner bin, so no term is a near-cancellation.
+    let (outer, inner) = if a.width >= b.width { (a, b) } else { (b, a) };
+    let cdf = SumCdf::new(outer, inner, exact);
+    // Edge `k` sits at `u0 + k·step` in inner-bin units above
+    // `outer.lo + inner.lo`.
+    let u0 = (grid.lo() - outer.lo - inner.lo) / inner.width;
+    let step = grid.bin_width() / inner.width;
+
+    // No mass lies below the reach's first bin or above its last one;
+    // bins 0 and n-1 also take the clamped tails.
+    let mut below = 0.0;
+    for (k, m) in masses.iter_mut().enumerate().take(k_hi + 1).skip(k_lo) {
+        let upto = if k == k_hi {
+            cdf.total
+        } else {
+            cdf.at(u0 + (k + 1) as f64 * step)
+        };
+        *m = (upto - below).max(0.0);
+        below = upto;
+    }
+    for k in [k_lo, k_hi] {
+        if masses[k] <= 0.0 {
+            masses[k] = EDGE_FLOOR;
+        }
+    }
+    masses
+}
+
+/// The CDF of the deposited sum of two histograms, `outer + inner`.
+///
+/// Outer bin `i` (mass `p_i`, lower edge `a_i`) spreads its share over a
+/// window of width `W` against the inner operand:
+///
+/// `F(z) = Σ_i p_i/W · [Ψ(z − a_i) − Ψ(z − a_i − W)]`
+///
+/// where `Ψ` is the antiderivative of an inner CDF.  For the exact
+/// (trapezoid) deposit that CDF is the inner histogram's own piecewise
+/// linear one and `W` is the outer bin width; for the uniform deposit it
+/// is the step CDF of the inner bins' lower edges and `W = w_a + w_b`.
+/// Either way `Ψ` is piecewise quadratic on the inner grid, tabulated from
+/// prefix sums, so one evaluation costs `O(1)` and one CDF value
+/// `O(outer bins)`.  Outer bins whose window lies wholly above the inner
+/// reach contribute `p_i · Σq` and are summed by prefix; those wholly
+/// below contribute nothing and are skipped.
+///
+/// All positions are in inner-bin units relative to the inner grid's
+/// lower edge, so supports far from zero cost no precision.
+struct SumCdf<'a> {
+    outer: &'a [f64],
+    /// `outer_prefix[i] = Σ_{l<i} p_l`.
+    outer_prefix: Vec<f64>,
+    /// Outer bin width, in inner-bin units.
+    pitch: f64,
+    /// Window width `W`, in inner-bin units.
+    window: f64,
+    exact: bool,
+    /// `[base, slope, curve]` of `Ψ(j + f) = base + f·(slope + f·curve)`,
+    /// `0 ≤ f < 1`; the last entry (`j` = inner bin count) covers every
+    /// `u` above the inner grid.
+    psi: Vec<[f64; 3]>,
+    inner_total: f64,
+    total: f64,
+}
+
+impl<'a> SumCdf<'a> {
+    fn new(outer: &'a Operand<'_>, inner: &Operand<'_>, exact: bool) -> Self {
+        let mut psi = Vec::with_capacity(inner.probs.len() + 1);
+        let (mut base, mut cum) = (0.0, 0.0);
+        for &q in inner.probs.iter() {
+            let (slope, curve) = if exact {
+                (cum, 0.5 * q)
+            } else {
+                (cum + q, 0.0)
+            };
+            psi.push([base, slope, curve]);
+            base += slope + curve;
+            cum += q;
+        }
+        psi.push([base, cum, 0.0]);
+
+        let mut outer_prefix = Vec::with_capacity(outer.probs.len() + 1);
+        let mut acc = 0.0;
+        outer_prefix.push(acc);
+        for &p in outer.probs.iter() {
+            acc += p;
+            outer_prefix.push(acc);
+        }
+        let pitch = outer.width / inner.width;
+        SumCdf {
+            outer: &outer.probs,
+            outer_prefix,
+            pitch,
+            window: if exact { pitch } else { pitch + 1.0 },
+            exact,
+            psi,
+            inner_total: cum,
+            total: acc * cum,
+        }
+    }
+
+    /// `Ψ(u)` for `u` in inner-bin units.
+    fn psi(&self, u: f64) -> f64 {
+        if u <= 0.0 {
+            return 0.0;
+        }
+        // The cast saturates, so far-above points land on the tail entry.
+        let j = (u as usize).min(self.psi.len() - 1);
+        let [base, slope, curve] = self.psi[j];
+        let f = u - j as f64;
+        base + f * (slope + f * curve)
+    }
+
+    /// `F` at the point `u` inner-bin units above `outer.lo + inner.lo`.
+    fn at(&self, u: f64) -> f64 {
+        let n_in = (self.psi.len() - 1) as f64;
+        let n_out = self.outer.len();
+        // Outer bin i's window is [u − i·pitch − window, u − i·pitch]: it
+        // lies above the inner grid for i < full and meets it for i < meets.
+        let full = floor_index((u - self.window - n_in) / self.pitch + 1.0, n_out);
+        let meets = floor_index(u / self.pitch + 1.0, n_out).max(full);
+        let top = |i: usize| u - i as f64 * self.pitch;
+        let mut partial = 0.0;
+        if self.exact {
+            // The window of bin i ends where bin i+1's starts, so each Ψ
+            // value serves two neighbouring terms.
+            let mut upper = self.psi(top(full));
+            for (i, &p) in self.outer.iter().enumerate().take(meets).skip(full) {
+                let lower = self.psi(top(i + 1));
+                partial += p * (upper - lower);
+                upper = lower;
+            }
+        } else {
+            for (i, &p) in self.outer.iter().enumerate().take(meets).skip(full) {
+                if p != 0.0 {
+                    partial += p * (self.psi(top(i)) - self.psi(top(i) - self.window));
+                }
+            }
+        }
+        self.inner_total * self.outer_prefix[full] + partial / self.window
+    }
+}
+
+/// `⌊x⌋` clamped to `0..=n` (0 for NaN).
+fn floor_index(x: f64, n: usize) -> usize {
+    if x >= n as f64 {
+        n
+    } else if x > 0.0 {
+        x as usize
+    } else {
+        0
+    }
 }
 
 /// Deposits the exact push-forward of `x²` for `x` uniform on `iv`.

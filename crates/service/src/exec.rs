@@ -47,11 +47,13 @@ impl Default for AnalyzeParams {
     }
 }
 
-/// Hard ceiling on histogram resolution. Several engines are quadratic
-/// (or, for `cartesian`, exponential in the input count) in the bin
-/// count, and the allocation itself must not be attacker-sized: one
-/// huge-`bins` request through `sna serve` would otherwise abort the
-/// whole process.
+/// Hard ceiling on histogram resolution. The histogram engines are
+/// quadratic in the bin count — a product deposits every operand bin
+/// pair, a sum evaluates its CDF at each output bin edge over the
+/// operand bins (`O(out_bins × bins)`) — and `cartesian` is exponential
+/// in the input count. The allocation itself must not be attacker-sized
+/// either: one huge-`bins` request through `sna serve` would otherwise
+/// abort the whole process.
 pub const MAX_BINS: usize = 4096;
 
 /// Renders an analysis failure. Self-describing diagnostics keep their
